@@ -311,8 +311,10 @@ class AsmBlock:
 
 @dataclass
 class AsmCFG:
-    """Basic blocks of one assembled :class:`Program`, keyed by address."""
-    program: object
+    """Basic blocks of one assembled :class:`Program`, keyed by address.
+
+    Holds no reference to the program, so ``Program.asm_cfg`` can cache
+    it without a reference cycle."""
     blocks: dict[int, AsmBlock]
     #: instruction address -> leader address of its block
     _containing: dict[int, int] = field(default_factory=dict)
@@ -380,7 +382,7 @@ def build_asm_cfg(program) -> AsmCFG:
     by_address = program.by_address
     addresses = sorted(by_address)
     if not addresses:
-        return AsmCFG(program, {})
+        return AsmCFG({})
 
     enders = JUMPS | CALLS | {"ret", "halt"}
     leaders: set[int] = {addresses[0]}
@@ -447,4 +449,4 @@ def build_asm_cfg(program) -> AsmCFG:
         for succ in block.succs:
             blocks[succ].preds.append(block.start)
 
-    return AsmCFG(program, blocks, containing)
+    return AsmCFG(blocks, containing)

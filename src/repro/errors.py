@@ -125,6 +125,19 @@ class ShellError(OsError_):
 
 
 # ---------------------------------------------------------------------------
+# Runaway programs
+# ---------------------------------------------------------------------------
+
+class StepLimitExceeded(MachineFault, OsError_):
+    """A run hit its step or scheduling-unit limit (infinite loop?).
+
+    One type for every execution path — the machine's step limit on the
+    flat and cached buses, the kernel's unit limit on the virtual bus —
+    that ``except MachineFault`` and ``except OsError_`` both catch.
+    """
+
+
+# ---------------------------------------------------------------------------
 # Shared-memory parallelism
 # ---------------------------------------------------------------------------
 

@@ -135,13 +135,25 @@ class Program:
     #: bounds guards for exactly these instructions)
     stack_safe: frozenset | None = field(default=None, init=False,
                                          repr=False, compare=False)
+    #: superblock code compiled once per program and shared by every
+    #: JIT machine running it: (entry, codegen variant) → code object
+    #: plus fetch tables, or None for an entry that forms no block.
+    #: Holds no closures — each machine binds its own (repro.isa.jit)
+    jit_code: dict | None = field(default=None, init=False,
+                                  repr=False, compare=False)
+    #: the basic-block CFG the JIT forms superblocks from, built lazily
+    asm_cfg: object | None = field(default=None, init=False,
+                                   repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.by_address = {ins.address: ins for ins in self.instructions}
 
     def invalidate_predecode(self) -> None:
-        """Drop the cached handler table (after patching instructions)."""
+        """Drop every decode-once cache (after patching instructions):
+        the handler table, the shared JIT code, and the asm CFG."""
         self.predecoded = None
+        self.jit_code = None
+        self.asm_cfg = None
 
     @property
     def entry_address(self) -> int:

@@ -20,6 +20,7 @@ from repro.errors import (
     IsaError,
     NoSuchProcess,
     OsError_,
+    StepLimitExceeded,
 )
 from repro.ossim.pcb import PCB, ProcessState, Signal
 from repro.ossim.programs import (
@@ -180,7 +181,7 @@ class Kernel:
             self._dispatch(pid)
             for _ in range(self.timeslice):
                 if self.stats.total_units >= max_units:
-                    raise OsError_("unit limit exceeded")
+                    raise StepLimitExceeded("unit limit exceeded")
                 if not self._step_one(pid):
                     break
 

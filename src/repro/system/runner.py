@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro._util import format_table
-from repro.errors import BusError
+from repro.errors import BusError, MachineFault, StepLimitExceeded
 from repro.isa.assembler import assemble
 from repro.isa.ccompiler import compile_c
 from repro.isa.instructions import Program
@@ -161,9 +161,10 @@ def run_system(program: Program | str, *, bus: str = "flat",
     each with its own page table on one shared
     :class:`~repro.system.bus.VirtualBus`.
 
-    ``jit`` (default on) compiles hot superblocks per machine (see
-    :mod:`repro.isa.jit`); every reported number except wall-clock time
-    is identical either way — the differential tests pin that. Tracing
+    ``jit`` (default on) compiles hot superblocks once per program and
+    binds them per machine (see :mod:`repro.isa.jit`); every reported
+    number except wall-clock time is identical either way — the
+    differential tests pin that. Tracing
     composes with the JIT: an enabled recorder gets one complete-span
     per compiled-block execution (per-instruction spans only where the
     interpreter runs), with identical reported stats either way.
@@ -231,7 +232,14 @@ def run_system(program: Program | str, *, bus: str = "flat",
     else:
         machine = Machine(program, bus=the_bus, record_fetches=True,
                           recorder=recorder, jit=jit)
-        status = machine.run(max_steps=max_steps)
+        try:
+            status = machine.run(max_steps=max_steps)
+        except MachineFault as exc:
+            # only the step limit stops a run at max_steps; report it as
+            # the one runaway error the kernel raises on the virtual bus
+            if machine.steps < max_steps:
+                raise
+            raise StepLimitExceeded(str(exc)) from exc
         instructions = machine.steps
         jit_stats = _fold_jit_stats([machine])
         exit_statuses = {0: status}

@@ -332,3 +332,234 @@ loop:
         (result, err), jitted = assert_three_way(program, "space")
         assert err is None and result == 15
         assert jitted.jit_stats.failures > 0
+
+
+# -- code shared per program, closures bound per machine ---------------------
+
+SHARED_C = """
+int sq(int x) { return x * x; }
+int main() {
+  int i; int s = 0;
+  for (i = 0; i < 60; i = i + 1) { s = s + sq(i); }
+  return s % 251;
+}
+"""
+
+
+def spy_codegen(monkeypatch):
+    """Count builtins.compile and _form calls made by the JIT module."""
+    from repro.isa import jit
+    calls = {"compile": 0, "form": 0}
+    real_form = jit._form
+
+    def counting_compile(*args, **kwargs):
+        calls["compile"] += 1
+        return compile(*args, **kwargs)
+
+    def counting_form(*args, **kwargs):
+        calls["form"] += 1
+        return real_form(*args, **kwargs)
+
+    monkeypatch.setattr(jit, "compile", counting_compile, raising=False)
+    monkeypatch.setattr(jit, "_form", counting_form)
+    return calls
+
+
+def make_variant(kind, program, *, record=True, trace=True, **kwargs):
+    """make_machine with the codegen switches the shared cache keys on."""
+    if kind == "space" and not trace:
+        machine = Machine(program, AddressSpace.standard(), **kwargs)
+    else:
+        machine = make_machine(kind, program, **kwargs)
+    machine.record_fetches = record
+    return machine
+
+
+def three_way_variant(program, kind, *, prime=0, **switches):
+    """step() == predecoded run() == JIT for one variant, each machine
+    first stepped ``prime`` instructions by the oracle interpreter."""
+    recorder = switches.pop("recorder", None)
+    runs = []
+    for mode, extra in [("step", {}), ("run", {}),
+                        ("run", {"jit": True, "jit_threshold": 1,
+                                 "recorder": recorder})]:
+        machine = make_variant(kind, program, **switches, **extra)
+        for _ in range(prime):
+            machine.step()
+        runs.append((machine, run_machine(machine, mode)))
+    (oracle, r_oracle), (pre, r_pre), (jitted, r_jit) = runs
+    assert r_pre == r_oracle
+    assert r_jit == r_oracle
+    assert observe(pre, kind) == observe(oracle, kind)
+    assert observe(jitted, kind) == observe(oracle, kind)
+    return r_oracle, jitted
+
+
+class TestSharedCode:
+    """Each superblock is generated and compiled once per Program; every
+    machine running that program binds its own closures to it."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_second_machine_compiles_nothing(self, kind, monkeypatch):
+        from repro.system.runner import program_from_source
+        program = program_from_source(SHARED_C)
+        calls = spy_codegen(monkeypatch)
+        first = make_machine(kind, program, jit=True, jit_threshold=1)
+        r_first = run_machine(first, "run")
+        assert calls["compile"] > 0 and calls["form"] > 0
+        assert first.jit_stats.blocks_compiled > 0
+        calls.update(compile=0, form=0)
+        second = make_machine(kind, program, jit=True, jit_threshold=1)
+        r_second = run_machine(second, "run")
+        assert calls == {"compile": 0, "form": 0}
+        assert r_second == r_first
+        assert observe(second, kind) == observe(first, kind)
+        assert second.jit_stats == first.jit_stats
+
+    def test_key_variants_back_to_back_on_one_program(self):
+        program = assemble(LOOP_ASM)
+        variants = [dict(kind=kind, record=record)
+                    for kind in KINDS for record in (True, False)]
+        variants += [dict(kind="space", record=True, trace=False),
+                     dict(kind="space", record=False, trace=False)]
+        from repro.obs import TraceRecorder
+        variants += [dict(kind=kind, recorder=TraceRecorder())
+                     for kind in KINDS]
+        expected = sum(i * i for i in range(50))
+        for switches in variants + variants[::-1]:
+            (result, err), jitted = three_way_variant(program, **switches)
+            assert err is None and result == expected
+            assert jitted.jit_stats.blocks_compiled > 0
+        # record × (plain space with trace on/off, or any bus): six
+        # codegen variants, all cached side by side on the one program
+        variant_keys = {key[1:] for key in program.jit_code}
+        assert len(variant_keys) == 6
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_proved_program_away_from_entry_state(self, kind):
+        from repro.analysis.opt import optimize_program
+        from repro.system.runner import program_from_source
+        program = optimize_program(program_from_source(SHARED_C)).program
+        assert program.stack_safe
+        # from the entry state the proof applies: guards are elided...
+        (r_entry, _), at_entry = three_way_variant(program, kind)
+        assert at_entry.jit_stats.guards_elided > 0
+        # ...one step in, the same program object compiles with safe empty
+        (r_moved, _), moved = three_way_variant(program, kind, prime=1)
+        assert moved.jit_stats.guards_elided == 0
+        assert moved._jit_engine.safe == frozenset()
+        assert r_moved == r_entry
+        # and the entry-state variant is still served correctly after
+        (r_again, _), again = three_way_variant(program, kind)
+        assert again.jit_stats == at_entry.jit_stats
+        assert r_again == r_entry
+
+
+class TestSharedCodeInvalidation:
+    @pytest.mark.parametrize("patch", ["immediate", "jump target"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_patched_program_is_recompiled(self, kind, patch):
+        from repro.isa.instructions import Immediate, LabelRef
+        program = assemble(LOOP_ASM)
+        (result, _), _ = assert_three_way(program, kind)
+        assert result == sum(i * i for i in range(50))
+        assert program.jit_code and program.asm_cfg is not None
+        if patch == "immediate":
+            ins = next(i for i in program.instructions
+                       if i.mnemonic == "cmpl")
+            ins.operands = (Immediate(20),) + ins.operands[1:]
+            expected = sum(i * i for i in range(20))
+        else:
+            ins = next(i for i in program.instructions
+                       if i.mnemonic == "jmp")
+            ins.operands = (LabelRef("done", program.labels["done"]),)
+            expected = 0
+        program.invalidate_predecode()
+        assert program.jit_code is None and program.asm_cfg is None
+        (result, err), jitted = assert_three_way(program, kind)
+        assert err is None and result == expected
+        assert jitted.jit_stats.blocks_compiled > 0
+
+
+class TestSharedCodeMemory:
+    def test_cache_holds_code_and_tuples_only(self):
+        import types
+        from repro.clib.address_space import Access
+        program = assemble(LOOP_ASM)
+        for kind in KINDS:
+            machine = make_machine(kind, program, jit=True, jit_threshold=1)
+            machine.run()
+
+        def plain(value):
+            if isinstance(value, tuple):
+                return all(plain(v) for v in value)
+            return isinstance(value, (types.CodeType, int, str, frozenset,
+                                      Access, type(None)))
+
+        assert program.jit_code
+        for key, code in program.jit_code.items():
+            assert plain(key)
+            assert code is None or (plain(code)
+                                    and isinstance(code[0], types.CodeType))
+
+    @pytest.mark.parametrize("end", ["ret", "halt"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_finished_machine_is_freed_without_the_cycle_collector(
+            self, kind, end):
+        import gc
+        import weakref
+        program = assemble(LOOP_ASM.replace("  leave\n  ret\n",
+                                            f"  leave\n  {end}\n"))
+        machine = make_machine(kind, program, jit=True, jit_threshold=1)
+        machine.run()
+        assert machine.jit_stats.blocks_compiled > 0
+        refs = [weakref.ref(machine), weakref.ref(machine._jit_engine)]
+        gc.disable()
+        try:
+            del machine
+            # no reference cycle: freed by reference counting alone
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+        assert program.jit_code                 # the code outlives them
+
+
+def _unshared(program):
+    """A copy of ``program`` whose JIT code cache never keeps anything,
+    so every machine generates and compiles its own blocks."""
+    from repro.isa.instructions import Program
+
+    class Unshared(Program):
+        @property
+        def jit_code(self):
+            return None
+
+        @jit_code.setter
+        def jit_code(self, value):
+            pass
+
+    return Unshared(instructions=program.instructions,
+                    labels=program.labels, entry=program.entry,
+                    data_image=program.data_image,
+                    data_base=program.data_base)
+
+
+class TestSharedCodeSystem:
+    @pytest.mark.parametrize("procs", [1, 2, 3, 4])
+    def test_run_system_processes_share_code(self, procs, monkeypatch):
+        from repro.system.runner import program_from_source, run_system
+        program = program_from_source(SHARED_C)
+        reference = run_system(program, bus="virtual", procs=procs,
+                               jit=False)
+        unshared = run_system(_unshared(program), bus="virtual",
+                              procs=procs)
+        calls = spy_codegen(monkeypatch)
+        shared = run_system(program, bus="virtual", procs=procs)
+        one_program = calls["compile"]
+        calls.update(compile=0)
+        run_system(_unshared(program), bus="virtual", procs=procs)
+        assert one_program * procs == calls["compile"]
+        assert shared.counters() == reference.counters()
+        assert shared.exit_statuses == reference.exit_statuses
+        assert shared.jit == unshared.jit      # blocks counted per machine
+        assert shared.jit["blocks_compiled"] > 0
