@@ -48,19 +48,22 @@ def emit_text(title: str, text: str) -> None:
 def emit_json(path, rows: list[dict]) -> None:
     """Append ``rows`` (dicts) to the JSON array file at ``path``.
 
-    Creates the file if missing; a corrupt or non-array file is replaced
-    rather than crashing the bench.
+    Creates the file if missing. A file that is not a JSON array raises
+    ``ValueError`` naming it and is left untouched, so a bad file never
+    costs the rows already recorded in it.
     """
     path = os.fspath(path)
     existing: list = []
     if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as f:
-                loaded = json.load(f)
-            if isinstance(loaded, list):
-                existing = loaded
-        except (json.JSONDecodeError, OSError):
-            existing = []
+        with open(path, encoding="utf-8") as f:
+            try:
+                existing = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} is not valid JSON ({exc}); "
+                                 f"left untouched") from exc
+        if not isinstance(existing, list):
+            raise ValueError(f"{path} holds a {type(existing).__name__}, "
+                             f"not a JSON array of rows; left untouched")
     existing.extend(rows)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(existing, f, indent=1)

@@ -334,8 +334,8 @@ class AsmCFG:
         Returns ``(instructions, terminator, target, fall)`` — the
         suffix of the containing block starting at ``address`` — or
         ``None`` when ``address`` is not an instruction. This is what
-        lets the JIT start a superblock at *any* hot address, not just
-        at leaders.
+        lets the JIT start a superblock mid-block, where a length-capped
+        block stopped, not just at leaders.
         """
         leader = self._containing.get(address)
         if leader is None:

@@ -7,14 +7,24 @@ round-trip per memory access. This module compiles *hot* code — entry
 addresses the interpreter keeps revisiting — into one Python closure
 per superblock, with registers and flags held in local variables.
 
-A superblock starts at any hot address and follows the straight-line
-path through the program's assembled CFG (:func:`build_asm_cfg`):
-fall-through edges and static ``jmp``/``call`` targets extend it;
-conditional jumps compile to *side exits* (return to the dispatcher
-with the taken target); ``ret``, indirect jumps, ``halt``, a revisited
-address (a loop closed), an unsupported instruction, or the length cap
-end it. The common loop therefore becomes a single closure executed
-once per iteration.
+Tier-up profiles block entries only: an address is counted when it is
+a leader of the program's asm CFG or the address the last compiled block
+exited to (where a length-capped block stops mid-block), and compiles
+once it has been reached ``threshold`` times. An address the
+interpreter merely runs through is not counted, so no overlapping
+superblock starts one instruction into another. A block runs only whole
+inside the step budget; once one is refused because it no longer fits
+(a kernel slice's tail), the rest of that :meth:`JitEngine.run` call
+interprets without counting or compiling. Compile decisions never
+change simulated state.
+
+A superblock follows the straight-line path through the program's
+assembled CFG (:func:`build_asm_cfg`): fall-through edges and static
+``jmp``/``call`` targets extend it; conditional jumps compile to *side
+exits* (return to the dispatcher with the taken target); ``ret``,
+indirect jumps, ``halt``, a revisited address (a loop closed), an
+unsupported instruction, or the length cap end it. The common loop
+therefore becomes a single closure executed once per iteration.
 
 Observational equivalence with :meth:`Machine.step` is the design
 constraint, pinned by the differential tests:
@@ -775,6 +785,12 @@ class JitEngine:
         pending bus accounting flushed first so the memory hierarchy
         sees accesses in exact program order.
 
+        Tier-up: only block entries count towards ``threshold`` — asm-CFG
+        leaders and the address the last block exited to. The first
+        block refused for not fitting in ``max_steps`` ends profiling
+        for this call: the rest of it only interprets and runs blocks
+        that still fit.
+
         With the recorder enabled, block executions and interpreted
         instructions append (name, ts, instructions) triples to one
         pending stream, bulk-flushed every :data:`TRACE_CHUNK` events
@@ -786,6 +802,7 @@ class JitEngine:
         record = m.record_fetches
         space = m.space
         handlers = m._predecode()
+        leaders = _asm_cfg(m.program).blocks
         compiled = self.blocks
         counts = self.counts
         failed = self.failed
@@ -796,6 +813,8 @@ class JitEngine:
         fetch = space.fetch
         steps = m.steps
         entries = side_exits = jit_steps = 0
+        profiling = True
+        exited_to = -1
         rec = m.recorder
         traced = rec.enabled
         if traced:
@@ -837,11 +856,13 @@ class JitEngine:
                             side_exits += 1
                         if next_eip == SENTINEL_RETURN:
                             m.halted = True
-                        regs.eip = next_eip & MASK32
+                        regs.eip = exited_to = next_eip & MASK32
                         if len(pending) >= FLUSH_LIMIT:
                             flush()
                         continue
-                elif eip not in failed:
+                    profiling = False   # the slice's tail: interpret it
+                elif profiling and (eip in leaders or eip == exited_to) \
+                        and eip not in failed:
                     c = counts.get(eip, 0) + 1
                     if c < threshold:
                         counts[eip] = c
@@ -976,6 +997,13 @@ class _Code(NamedTuple):
     elided: int
 
 
+def _asm_cfg(program):
+    """The program's asm CFG, built on first use and cached on it."""
+    if program.asm_cfg is None:
+        program.asm_cfg = build_asm_cfg(program)
+    return program.asm_cfg
+
+
 def _generate(program, entry: int, record: bool, bus: bool, trace: bool,
               fast: bool, safe: frozenset, max_block: int) -> _Code | None:
     """Form, render and compile the superblock at ``entry``.
@@ -985,9 +1013,7 @@ def _generate(program, entry: int, record: bool, bus: bool, trace: bool,
     shared by every machine whose engine passes the same arguments.
     Returns None when no instruction at ``entry`` compiles.
     """
-    cfg = program.asm_cfg
-    if cfg is None:
-        cfg = program.asm_cfg = build_asm_cfg(program)
+    cfg = _asm_cfg(program)
     writer = _Writer(record=record, bus=bus, trace=trace, fast=fast,
                      safe=safe)
     _form(writer, cfg, entry, max_block)

@@ -11,6 +11,7 @@ fields the way homework solutions draw them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro._util import is_power_of_two, log2_exact
 from repro.errors import CacheConfigError
@@ -45,11 +46,12 @@ class AddressLayout:
         if self.offset_bits + self.index_bits > self.address_bits:
             raise CacheConfigError("cache larger than the address space")
 
-    @property
+    # computed once per layout: divide() reads them on every access
+    @cached_property
     def offset_bits(self) -> int:
         return log2_exact(self.block_size)
 
-    @property
+    @cached_property
     def index_bits(self) -> int:
         return log2_exact(self.num_sets)
 

@@ -563,3 +563,210 @@ class TestSharedCodeSystem:
         assert shared.exit_statuses == reference.exit_statuses
         assert shared.jit == unshared.jit      # blocks counted per machine
         assert shared.jit["blocks_compiled"] > 0
+
+
+# -- tier-up: profile block entries, stop profiling at a slice's tail --------
+
+TIER_UP_C = """
+int main() {
+  int i; int s = 0; int t = 1;
+  for (i = 0; i < 40; i = i + 1) {
+    s = s + i * i;
+    t = t * 3 + s;
+    s = s + (t / 8) % 97;
+    t = t - i;
+  }
+  return (s + t) % 251;
+}
+"""
+
+#: slice lengths: shorter than the loop's 64-instruction superblocks
+#: (none can ever run), and the kernel's default batch (some fit)
+SLICES = [20, 100]
+
+
+def spy_tier_up(monkeypatch, program):
+    """Log, per machine, what its JIT engine does on ``program``:
+    ("slice",) at each run_slice, ("interp", eip) per interpreted
+    instruction, ("compile", entry) per _compile call, and
+    ("block", entry, exit_eip) per compiled block execution."""
+    from repro.binary.twos_complement import MASK32
+    from repro.isa import jit
+    log: dict[int, list] = {}
+    real_compile = jit.JitEngine._compile
+
+    def spying_compile(engine, entry):
+        blk = real_compile(engine, entry)
+        events = log.setdefault(id(engine._machine()), [])
+        events.append(("compile", entry))
+        if blk is not None:
+            fn = blk.fn
+
+            def block():
+                next_eip, executed = fn()
+                events.append(("block", entry, next_eip & MASK32))
+                return next_eip, executed
+            blk.fn = block
+        return blk
+
+    def spying(eip, handler):
+        def interp(m, next_eip):
+            log.setdefault(id(m), []).append(("interp", eip))
+            return handler(m, next_eip)
+        return interp
+
+    Machine(program)._predecode()
+    program.predecoded = {eip: spying(eip, handler)
+                          for eip, handler in program.predecoded.items()}
+    monkeypatch.setattr(jit.JitEngine, "_compile", spying_compile)
+
+    real_slice = Machine.run_slice
+
+    def spying_slice(machine, limit, **kwargs):
+        log.setdefault(id(machine), []).append(("slice",))
+        return real_slice(machine, limit, **kwargs)
+    monkeypatch.setattr(Machine, "run_slice", spying_slice)
+    return log
+
+
+def check_tier_up(events, leaders):
+    """Every compile is at a leader or a block's exit address, and none
+    follows a budget refusal (a compiled entry interpreted) within the
+    same slice. Returns (compiles, refusals)."""
+    compiled: set[int] = set()
+    exits: set[int] = set()
+    compiles = refusals = 0
+    refused = False
+    for event in events:
+        if event[0] == "slice":
+            refused = False
+        elif event[0] == "interp" and event[1] in compiled:
+            refused = True
+            refusals += 1
+        elif event[0] == "block":
+            exits.add(event[2])
+        elif event[0] == "compile":
+            entry = event[1]
+            assert entry in leaders or entry in exits, hex(entry)
+            assert not refused, f"compiled {entry:#x} after a refusal"
+            compiled.add(entry)
+            compiles += 1
+    return compiles, refusals
+
+
+def predecoded_slice(machine, limit):
+    """run_slice for the predecoded run() loop (which raises at its
+    step limit instead of returning)."""
+    from repro.errors import MachineFault
+    stop = machine.steps + limit
+    try:
+        machine.run(stop)
+    except MachineFault:
+        if machine.steps < stop:
+            raise
+
+
+def run_sliced(machines, mode, k):
+    """Round-robin ``k``-instruction slices until all halt."""
+    while not all(m.halted for m in machines):
+        for m in machines:
+            if m.halted:
+                continue
+            if mode == "jit":
+                m.run_slice(k)
+            elif mode == "run":
+                predecoded_slice(m, k)
+            else:
+                m.run_slice(k, jit=False)      # step() per instruction
+
+
+def make_sliced(kind, program, **kwargs):
+    """One machine on ``space``, or two processes on one virtual bus."""
+    if kind == "space":
+        return [make_machine("space", program, **kwargs)], None
+    bus = VirtualBus(trace=True)
+    machines = []
+    for pid in (1, 2):
+        bus.create_process(pid)
+        machines.append(Machine(program, bus=bus, pid=pid,
+                                record_fetches=True, **kwargs))
+    return machines, bus
+
+
+def observe_sliced(machines, bus):
+    if bus is None:
+        return [observe(machines[0], "space")]
+    out = [observe(m, "virtual") for m in machines]
+    out.append([bus.space_of(pid).trace for pid in (1, 2)])
+    return out
+
+
+class TestTierUp:
+    """The JIT counts hotness only at block-entry candidates and stops
+    profiling for the rest of a slice once a block no longer fits."""
+
+    @pytest.mark.parametrize("k", SLICES)
+    @pytest.mark.parametrize("kind", ["space", "virtual"])
+    def test_compiles_only_at_entries_and_never_after_refusal(
+            self, kind, k, monkeypatch):
+        from repro.analysis.cfg import build_asm_cfg
+        from repro.system.runner import program_from_source
+        program = program_from_source(TIER_UP_C)
+        leaders = set(build_asm_cfg(program).blocks)
+        log = spy_tier_up(monkeypatch, program)
+        machines, _ = make_sliced(kind, program, jit=True)
+        run_sliced(machines, "jit", k)
+        for m in machines:
+            stats = m.jit_stats
+            compiles, refusals = check_tier_up(log[id(m)], leaders)
+            assert compiles == stats.blocks_compiled + stats.failures
+            assert compiles > 0 and refusals > 0
+            assert max(b.length for b in m._jit_engine.blocks.values()) > 20
+            assert (stats.jit_steps > 0) == (k == 100)
+
+    @pytest.mark.parametrize("k", SLICES)
+    @pytest.mark.parametrize("kind", ["space", "virtual"])
+    def test_sliced_run_three_way_equal(self, kind, k):
+        from repro.system.runner import program_from_source
+        program = program_from_source(TIER_UP_C)
+        seen = []
+        for mode, kwargs in [("step", {}), ("run", {}),
+                             ("jit", {"jit": True})]:
+            machines, bus = make_sliced(kind, program, **kwargs)
+            run_sliced(machines, mode, k)
+            seen.append(observe_sliced(machines, bus))
+        assert seen[1] == seen[0]
+        assert seen[2] == seen[0]
+
+    def test_length_capped_block_continues_at_its_exit(self):
+        # a straight-line loop body longer than MAX_BLOCK: the block from
+        # the loop head stops at the cap, mid-block, and the address it
+        # exits to (no leader) is profiled and compiled in its turn
+        from repro.analysis.cfg import build_asm_cfg
+        from repro.isa.jit import MAX_BLOCK
+        body = "  addl $3, %eax\n" * (MAX_BLOCK + 16)
+        program = assemble(f"""
+main:
+  movl $0, %eax
+  movl $0, %ecx
+loop:
+{body}  incl %ecx
+  cmpl $30, %ecx
+  jl loop
+  ret
+""")
+        (result, err), _ = assert_three_way(program, "space")
+        assert err is None and result == 3 * 30 * (MAX_BLOCK + 16)
+        machine = make_machine("space", program, jit=True)
+        assert machine.run() == result
+        entries = set(machine._jit_engine.blocks)
+        assert entries - set(build_asm_cfg(program).blocks)
+
+    def test_run_system_virtual_counters_equal_jit_off(self):
+        from repro.system.runner import program_from_source, run_system
+        program = program_from_source(TIER_UP_C)
+        reference = run_system(program, bus="virtual", procs=2, jit=False)
+        jitted = run_system(program, bus="virtual", procs=2)
+        assert jitted.counters() == reference.counters()
+        assert jitted.exit_statuses == reference.exit_statuses
+        assert jitted.jit["blocks_compiled"] > 0
