@@ -5,10 +5,10 @@ backend that re-spawns its process pool per call and re-pickles its
 input per step measures startup cost, not computation. This bench
 quantifies the fix two ways:
 
-* **pool lifecycle**: `parallel_map` overhead (spawn + dispatch + sync
-  seconds, from the backend's own instrumentation) with a fresh pool per
-  call vs the warm persistent pool, on deliberately tiny tasks where
-  overhead dominates.
+* **pool lifecycle**: process-backend `map` overhead (spawn + dispatch +
+  sync seconds, from the backend's own instrumentation) with a fresh
+  backend per call vs one held warm across calls, on deliberately tiny
+  tasks where overhead dominates.
 * **chunk scheduling**: makespan of static vs work-queue policies on a
   deliberately skewed workload, on the deterministic cost model (host-
   independent, like the simulated-machine benches).
@@ -19,12 +19,7 @@ the 5× bar is only asserted on multicore per EXPERIMENTS.md.
 """
 
 from benchmarks._harness import BENCH_JSON, emit, emit_json
-from repro.core.mp_backend import (
-    available_cores,
-    burn,
-    parallel_map,
-    shutdown_pool,
-)
+from repro.core.backends import available_cores, burn, get_backend
 from repro.core.partition import CHUNK_MODES, schedule_makespan
 
 WORKERS = 2
@@ -37,15 +32,20 @@ ITEMS = [2_000] * 8
 SKEWED_COSTS = [16.0] + [1.0] * 15
 
 
-def _mean_overhead(reuse_pool: bool) -> tuple[float, float, object]:
+def _percall_map():
+    """One map on a backend made (and shut down) for this call alone."""
+    with get_backend("process", WORKERS) as backend:
+        backend.map(burn, ITEMS)
+    return backend.last_breakdown
+
+
+def _mean_overhead(map_once) -> tuple[float, float, object]:
     """Mean (overhead, wall) per call over CALLS calls, plus the last
     call's full breakdown."""
-    from repro.core.mp_backend import last_breakdown
     total_overhead = total_wall = 0.0
     breakdown = None
     for _ in range(CALLS):
-        parallel_map(burn, ITEMS, workers=WORKERS, reuse_pool=reuse_pool)
-        breakdown = last_breakdown()
+        breakdown = map_once()
         total_overhead += breakdown.overhead
         total_wall += breakdown.wall
     return total_overhead / CALLS, total_wall / CALLS, breakdown
@@ -53,18 +53,19 @@ def _mean_overhead(reuse_pool: bool) -> tuple[float, float, object]:
 
 def test_bench_pool_lifecycle(benchmark):
     host_cores = available_cores()
-    shutdown_pool()   # measure the persistent pool from genuinely cold
 
     percall_overhead, percall_wall, percall_bd = _mean_overhead(
-        reuse_pool=False)
-    # first warm-pool call pays spawn once; measure steady state after it
-    parallel_map(burn, ITEMS, workers=WORKERS, reuse_pool=True)
-    persistent_overhead, persistent_wall, persistent_bd = _mean_overhead(
-        reuse_pool=True)
-    benchmark.pedantic(
-        lambda: parallel_map(burn, ITEMS, workers=WORKERS),
-        rounds=1, iterations=1)
-    shutdown_pool()
+        _percall_map)
+    with get_backend("process", WORKERS) as persistent:
+        def persistent_map():
+            persistent.map(burn, ITEMS)
+            return persistent.last_breakdown
+
+        # the first call pays spawn once; measure steady state after it
+        persistent_map()
+        persistent_overhead, persistent_wall, persistent_bd = (
+            _mean_overhead(persistent_map))
+        benchmark.pedantic(persistent_map, rounds=1, iterations=1)
 
     ratio = percall_overhead / persistent_overhead
     emit(f"pool lifecycle: mean per-call overhead on {len(ITEMS)} tiny "

@@ -25,8 +25,13 @@ import time
 
 from benchmarks._harness import BENCH_JSON, emit, emit_json
 from repro.core import GilConfig, IoWait, SimMachine, SyncCosts, Work
-from repro.core.backends import get_backend, gil_enabled, probe_backends
-from repro.core.mp_backend import available_cores, burn
+from repro.core.backends import (
+    available_cores,
+    burn,
+    get_backend,
+    gil_enabled,
+    probe_backends,
+)
 from repro.life import (
     GameOfLife,
     random_grid,

@@ -8,6 +8,7 @@ Subcommands::
 
     python -m repro analyze FILE.c|FILE.s|FILE.py|DIR ...
     python -m repro trace DEMO [--chrome OUT.json] [--top N]
+    python -m repro trace validate TRACE.json [--lane NAME ...]
     python -m repro run PROG.c [--bus flat|cached|virtual] [--procs N]
     python -m repro gil [--threads N] [--probe] [--chrome OUT.json]
     python -m repro cluster [life|mapreduce|pipeline] [--nodes N] ...
@@ -15,7 +16,8 @@ Subcommands::
 ``analyze`` runs the static-analysis subsystem (see
 :mod:`repro.analysis`); ``trace`` runs a demo workload under the
 observability layer (see :mod:`repro.obs`) and prints a profile,
-optionally exporting a Chrome trace; ``run`` compiles a program and
+optionally exporting a Chrome trace (``trace validate`` checks a
+trace file on disk); ``run`` compiles a program and
 executes it over a pluggable memory bus (see :mod:`repro.system`);
 ``gil`` demos the simulated interpreter lock ablation and probes the
 host's real executor backends (see :mod:`repro.core.backends`);

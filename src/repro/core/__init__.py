@@ -5,8 +5,9 @@ simulated multicore machine running pthread-style thread programs; mutex
 /barrier/condition-variable/semaphore primitives with misuse detection;
 data-race (lockset + barrier epochs) and deadlock (wait-for graph)
 detection; speedup/efficiency/Amdahl metrics; partitioning helpers; the
-producer-consumer bounded buffer; and a real ``multiprocessing`` backend
-for actual parallel execution (the GIL workaround).
+producer-consumer bounded buffer; and real executor backends (threads,
+processes, subinterpreters) for actual parallel execution — processes
+being the GIL workaround.
 """
 
 from repro.core.machine import (
@@ -78,8 +79,6 @@ from repro.core.timeline import (
     thread_spans,
     utilization_table,
 )
-from repro.core import mp_backend
-from repro.core.mp_backend import WorkerPool, get_pool, shutdown_pool
 from repro.core.backends import (
     BACKEND_NAMES,
     BackendCapability,
@@ -106,7 +105,6 @@ __all__ = [
     "block_partition", "cyclic_partition", "partition_grid", "GridRegion",
     "balance_ratio", "CHUNK_MODES", "chunk_indices", "dynamic_chunks",
     "guided_chunks", "schedule_makespan",
-    "WorkerPool", "get_pool", "shutdown_pool",
     "BACKEND_NAMES", "BackendCapability", "ExecutorBackend",
     "SerialBackend", "ThreadBackend", "ProcessBackend",
     "SubinterpreterBackend", "get_backend", "gil_enabled",
@@ -119,5 +117,4 @@ __all__ = [
     "WaitForGraph", "lock_order_violations",
     "render_gantt", "core_utilization", "utilization_table",
     "thread_spans",
-    "mp_backend",
 ]

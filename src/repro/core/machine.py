@@ -210,8 +210,8 @@ class SimThread:
     busy_cycles: float = 0.0
     blocked_cycles: float = 0.0
     io_cycles: float = 0.0
-    #: cycles left of the Work event currently being GIL-sliced
-    gil_work_left: float = 0.0
+    #: cycles left of a Work event the GIL cut at a switch interval
+    work_left: float = 0.0
     #: when this thread started waiting for the GIL (stats only)
     gil_wait_start: float = 0.0
 
@@ -239,11 +239,10 @@ class SimMachine:
         #: the pre-GIL seed); a GilConfig serializes interpreter work
         self.gil = gil
         self.gil_stats = GilStats()
-        self._gil_holder: SimThread | None = None
-        self._gil_queue: deque[SimThread] = deque()
-        self._gil_free_at = 0.0
-        self._gil_acquired_at = 0.0
-        self._gil_quantum_left = 0.0
+        #: who may run and on which core: the one policy that differs
+        #: between the two modes of the single event loop
+        self._arbiter = (_FreeCores() if gil is None
+                         else _GilLock(gil, self.gil_stats))
         #: shared trace recorder (see repro.obs); NULL_RECORDER when off
         self.recorder = coalesce(recorder)
         self.threads: list[SimThread] = []
@@ -284,35 +283,22 @@ class SimMachine:
 
     def run(self, *, max_events: int = 10_000_000) -> float:
         """Run until every thread finishes; returns the makespan."""
-        if self.gil is not None:
-            return self._run_gil(max_events=max_events)
+        pending = self._pending
+        claim, settle = self._arbiter.claim, self._arbiter.settle
+        advance = self._advance
         events = 0
-        while self._pending:
+        while pending:
             events += 1
             if events > max_events:
                 raise ConcurrencyError("event limit exceeded")
-            ready_time, _, thread = heapq.heappop(self._pending)
+            ready_time, _, thread = heapq.heappop(pending)
             if thread.state == "done":
                 continue
-            core_free, core_id = heapq.heappop(self._cores)
-            start = max(ready_time, core_free)
+            start = claim(self, thread, ready_time)
+            if start is None:
+                continue              # waiting for, or handing off, the GIL
             self.now = start
-            end = self._advance(thread, start)
-            if end > start:
-                self.timeline.append((core_id, thread.name, start, end))
-                if self.recorder.enabled:
-                    # the gantt segment: thread ran on this core (the
-                    # span handle is resolved once per core × thread)
-                    key = (core_id, thread.name)
-                    series = self._gantt_series.get(key)
-                    if series is None:
-                        series = self.recorder.span_series(
-                            thread.name, pid="threads",
-                            tid=f"core {core_id}", cat="threads")
-                        self._gantt_series[key] = series
-                    series.add(start, end - start)
-            heapq.heappush(self._cores, (end, core_id))
-            self.makespan = max(self.makespan, end)
+            settle(self, thread, start, advance(thread, start))
         blocked = [t for t in self.threads if t.state == "blocked"]
         if blocked:
             raise self._deadlock_error(blocked)
@@ -323,8 +309,11 @@ class SimMachine:
     MAX_ZERO_COST_RUN = 1_000_000
 
     def _advance(self, thread: SimThread, start: float) -> float:
-        """Advance ``thread`` one event starting at ``start``; returns the
-        time its core becomes free."""
+        """Advance ``thread`` from ``start`` until it occupies its core,
+        blocks, sleeps in I/O or finishes; returns the time its core
+        becomes free."""
+        if thread.work_left > 0:
+            return self._work(thread, start)     # the rest of a sliced Work
         zero_cost_run = 0
         while True:
             try:
@@ -332,20 +321,51 @@ class SimMachine:
             except StopIteration:
                 self._finish(thread, start)
                 return start
+            if isinstance(event, Work) and not event.io and event.cycles > 0:
+                thread.work_left = event.cycles
+                return self._work(thread, start)
             end = self._handle(thread, event, start)
             if end is None:
-                return start          # blocked: core released immediately
+                return start          # blocked or in I/O: core released
             if end > start:
-                thread.busy_cycles += end - start
-                self.total_work_cycles += end - start
-                self._schedule(thread, end)
-                return end
+                self._arbiter.spend(end - start)
+                return self._occupy(thread, start, end)
             zero_cost_run += 1
             if zero_cost_run > self.MAX_ZERO_COST_RUN:
                 raise ConcurrencyError(
                     f"{thread.name} ran {zero_cost_run} zero-cost events "
                     "without blocking or working (infinite loop?)")
             start = end               # zero-cost event: keep going
+
+    def _work(self, thread: SimThread, start: float) -> float:
+        """Run as much of the pending Work as the arbiter allows."""
+        cycles = self._arbiter.slice(thread.work_left)
+        thread.work_left -= cycles
+        return self._occupy(thread, start, start + cycles)
+
+    def _occupy(self, thread: SimThread, start: float, end: float) -> float:
+        """Book ``[start, end)`` as busy; the thread is ready again at
+        ``end``."""
+        thread.busy_cycles += end - start
+        self.total_work_cycles += end - start
+        self._schedule(thread, end)
+        return end
+
+    def _record_segment(self, core_id: int, thread: SimThread,
+                        start: float, end: float) -> None:
+        """Add one ``[start, end)`` run of ``thread`` on ``core_id`` to
+        the timeline (and to the recorder's gantt lane)."""
+        self.timeline.append((core_id, thread.name, start, end))
+        if self.recorder.enabled:
+            # the span handle is resolved once per core × thread
+            key = (core_id, thread.name)
+            series = self._gantt_series.get(key)
+            if series is None:
+                series = self.recorder.span_series(
+                    thread.name, pid="threads",
+                    tid=f"core {core_id}", cat="threads")
+                self._gantt_series[key] = series
+            series.add(start, end - start)
 
     def _handle(self, thread: SimThread, event: Event,
                 time: float) -> float | None:
@@ -397,6 +417,7 @@ class SimMachine:
         thread.state = "blocked"
         thread.waiting_on = on
         thread.block_start = time
+        self._arbiter.leave(self, thread, time)
 
     def _wake(self, thread: SimThread, time: float) -> None:
         thread.blocked_cycles += time - thread.block_start
@@ -414,9 +435,9 @@ class SimMachine:
     def _io_wait(self, thread: SimThread, cycles: float,
                  time: float) -> None:
         """Blocking I/O: the thread sleeps in the kernel until
-        ``time + cycles``, occupying no core — any number of I/O
-        operations overlap. Returns None (the core is released); the
-        thread re-enters the ready queue at completion."""
+        ``time + cycles``, occupying no core (and not holding the GIL) —
+        any number of I/O operations overlap. Returns None (the core is
+        released); the thread re-enters the ready queue at completion."""
         end = time + cycles
         thread.io_cycles += cycles
         self.gil_stats.io_cycles += cycles
@@ -424,6 +445,7 @@ class SimMachine:
             self.recorder.complete(
                 "io-wait", ts=time, dur=cycles, pid="threads",
                 tid=thread.name, cat="threads")
+        self._arbiter.leave(self, thread, time)
         self._schedule(thread, end)
         return None
 
@@ -574,182 +596,7 @@ class SimMachine:
         for joiner in thread.joiners:
             self._wake(joiner, time)
         thread.joiners.clear()
-
-    # -- the GIL --------------------------------------------------------------------
-    #
-    # A second event loop, used only when ``gil`` is set, so the default
-    # machine stays bit-identical to the seed (pinned by the golden
-    # oracle in tests/core/test_gil_oracle.py). The lock is FIFO: the
-    # holder runs interpreter events, slicing Work at the switch
-    # interval; at a slice boundary with waiters present it hands off
-    # (and requeues itself if unfinished). Blocking sync events and I/O
-    # release the lock outright.
-
-    def _run_gil(self, *, max_events: int) -> float:
-        events = 0
-        while self._pending:
-            events += 1
-            if events > max_events:
-                raise ConcurrencyError("event limit exceeded")
-            ready_time, _, thread = heapq.heappop(self._pending)
-            if thread.state == "done":
-                continue
-            if thread is not self._gil_holder:
-                # anything a thread does needs the interpreter lock
-                if self._gil_holder is None:
-                    at = max(ready_time, self._gil_free_at)
-                    self.gil_stats.wait_cycles += at - ready_time
-                    self._gil_grant(thread, at)
-                else:
-                    thread.gil_wait_start = ready_time
-                    self._gil_queue.append(thread)
-                continue
-            self.now = ready_time
-            self._gil_step(thread, ready_time)
-        blocked = [t for t in self.threads if t.state == "blocked"]
-        if blocked:
-            raise self._deadlock_error(blocked)
-        self._ran = True
-        return self.makespan
-
-    def _gil_grant(self, thread: SimThread, at: float) -> None:
-        """Give ``thread`` the lock at ``at``; it runs after paying
-        ``acquire_cost`` cycles."""
-        self._gil_holder = thread
-        self._gil_quantum_left = self.gil.switch_interval_cycles
-        self.gil_stats.acquisitions += 1
-        start = at + self.gil.acquire_cost
-        self._gil_acquired_at = start
-        self._schedule(thread, start)
-
-    def _gil_release(self, thread: SimThread, time: float, *,
-                     requeue: bool = False) -> None:
-        """The holder gives the lock up at ``time``. With ``requeue``
-        (a switch-interval handoff) it rejoins the wait queue at the
-        tail; either way the longest-waiting thread is granted next."""
-        held = time - self._gil_acquired_at
-        self.gil_stats.hold_cycles += held
-        if self.recorder.enabled and held > 0:
-            # the holder span: who had the interpreter, when
-            self.recorder.complete(
-                thread.name, ts=self._gil_acquired_at, dur=held,
-                pid="threads", tid="GIL", cat="gil")
-        self._gil_holder = None
-        self._gil_free_at = time
-        if requeue:
-            thread.gil_wait_start = time
-            self._gil_queue.append(thread)
-        if self._gil_queue:
-            nxt = self._gil_queue.popleft()
-            self.gil_stats.wait_cycles += time - nxt.gil_wait_start
-            if self.recorder.enabled:
-                self.recorder.instant(
-                    "gil-handoff", ts=time, pid="threads", tid="GIL",
-                    cat="gil", args={"from": thread.name,
-                                     "to": nxt.name})
-            self._gil_grant(nxt, time)
-
-    def _gil_occupy(self, thread: SimThread, start: float,
-                    end: float) -> None:
-        """Charge ``[start, end)`` as interpreter time on a core (the
-        GIL serializes, so a core is always free by ``start``)."""
-        core_free, core_id = heapq.heappop(self._cores)
-        self.timeline.append((core_id, thread.name, start, end))
-        if self.recorder.enabled:
-            key = (core_id, thread.name)
-            series = self._gantt_series.get(key)
-            if series is None:
-                series = self.recorder.span_series(
-                    thread.name, pid="threads",
-                    tid=f"core {core_id}", cat="threads")
-                self._gantt_series[key] = series
-            series.add(start, end - start)
-        heapq.heappush(self._cores, (max(end, core_free), core_id))
-        self.makespan = max(self.makespan, end)
-
-    def _gil_step(self, thread: SimThread, start: float) -> None:
-        """Run the holder for one quantum/event starting at ``start``."""
-        # slice boundary: yield to waiters, or refresh the quantum
-        if self._gil_quantum_left <= 0:
-            if self._gil_queue:
-                self.gil_stats.handoffs += 1
-                self._gil_release(thread, start, requeue=True)
-                return
-            self._gil_quantum_left = self.gil.switch_interval_cycles
-        if thread.gil_work_left > 0:
-            self._gil_run_slice(thread, start)
-            return
-        zero_cost_run = 0
-        time = start
-        while True:
-            try:
-                event = next(thread.gen)
-            except StopIteration:
-                self._finish(thread, time)
-                self._gil_release(thread, time)
-                self.makespan = max(self.makespan, time)
-                return
-            io_cycles = None
-            if isinstance(event, IoWait):
-                io_cycles = event.cycles
-            elif isinstance(event, Work) and event.io:
-                io_cycles = event.cycles
-            if io_cycles is not None:
-                # blocking I/O: the lock is free for the whole wait
-                thread.io_cycles += io_cycles
-                self.gil_stats.io_cycles += io_cycles
-                if self.recorder.enabled:
-                    self.recorder.complete(
-                        "io-wait", ts=time, dur=io_cycles, pid="threads",
-                        tid=thread.name, cat="threads")
-                self._gil_release(thread, time)
-                self._schedule(thread, time + io_cycles)
-                self.makespan = max(self.makespan, time + io_cycles)
-                return
-            if isinstance(event, Work):
-                if event.cycles == 0:
-                    zero_cost_run += 1
-                    if zero_cost_run > self.MAX_ZERO_COST_RUN:
-                        raise ConcurrencyError(
-                            f"{thread.name} ran {zero_cost_run} "
-                            "zero-cost events without blocking or "
-                            "working (infinite loop?)")
-                    continue
-                thread.gil_work_left = event.cycles
-                self._gil_run_slice(thread, time)
-                return
-            end = self._handle(thread, event, time)
-            if end is None:
-                # blocked: the lock is released where the block began
-                self._gil_release(thread, thread.block_start)
-                return
-            if end > time:
-                dur = end - time
-                thread.busy_cycles += dur
-                self.total_work_cycles += dur
-                self._gil_quantum_left -= dur
-                self._gil_occupy(thread, time, end)
-                self._schedule(thread, end)
-                return
-            zero_cost_run += 1
-            if zero_cost_run > self.MAX_ZERO_COST_RUN:
-                raise ConcurrencyError(
-                    f"{thread.name} ran {zero_cost_run} zero-cost "
-                    "events without blocking or working (infinite "
-                    "loop?)")
-            time = end
-
-    def _gil_run_slice(self, thread: SimThread, start: float) -> None:
-        """Execute one switch-interval slice of the pending Work."""
-        dur = min(thread.gil_work_left, self._gil_quantum_left)
-        end = start + dur
-        thread.gil_work_left -= dur
-        self._gil_quantum_left -= dur
-        thread.busy_cycles += dur
-        self.total_work_cycles += dur
-        self.gil_stats.slices += 1
-        self._gil_occupy(thread, start, end)
-        self._schedule(thread, end)
+        self._arbiter.leave(self, thread, time)
 
     # -- deadlock reporting ----------------------------------------------------------
 
@@ -797,6 +644,149 @@ class SimMachine:
         if self.makespan == 0:
             return 0.0
         return self.total_work_cycles / (self.num_cores * self.makespan)
+
+
+# ---------------------------------------------------------------------------
+# Core arbitration: which ready thread may run, and on which core
+# ---------------------------------------------------------------------------
+#
+# SimMachine.run is one loop for both machines; an arbiter decides the
+# part that differs. ``claim`` admits a ready thread (returning its start
+# time, or None if it must wait), ``slice`` caps how much of a Work event
+# runs before the next decision, ``spend`` charges a costly sync event,
+# ``leave`` is called when the thread blocks, sleeps in I/O or finishes,
+# and ``settle`` closes the step on a core. The machine is passed in
+# rather than kept, so a finished machine holds no reference cycle and
+# is freed as soon as its last user drops it.
+
+
+class _FreeCores:
+    """``gil=None``: every event runs to completion on the earliest-free
+    of ``num_cores`` cores — the pthreads model."""
+
+    def __init__(self) -> None:
+        self._core = 0
+
+    def claim(self, machine: SimMachine, thread: SimThread,
+              ready: float) -> float:
+        core_free, self._core = heapq.heappop(machine._cores)
+        return max(ready, core_free)
+
+    def slice(self, cycles: float) -> float:
+        return cycles
+
+    def spend(self, cycles: float) -> None:
+        pass
+
+    def leave(self, machine: SimMachine, thread: SimThread,
+              time: float) -> None:
+        pass
+
+    def settle(self, machine: SimMachine, thread: SimThread,
+               start: float, end: float) -> None:
+        if end > start:
+            machine._record_segment(self._core, thread, start, end)
+        heapq.heappush(machine._cores, (end, self._core))
+        machine.makespan = max(machine.makespan, end)
+
+
+class _GilLock:
+    """``gil=GilConfig``: one FIFO interpreter lock in front of the cores.
+
+    Only the holder runs. It slices Work at the switch interval; at a
+    slice boundary with waiters present it hands off (and requeues
+    itself). Blocking, I/O and finishing release the lock outright, and
+    every grant charges ``acquire_cost`` before the new holder runs.
+    """
+
+    def __init__(self, config: GilConfig, stats: GilStats) -> None:
+        self.config = config
+        self.stats = stats
+        self.holder: SimThread | None = None
+        self.queue: deque[SimThread] = deque()
+        self.free_at = 0.0
+        self.acquired_at = 0.0
+        self.quantum = 0.0
+
+    def claim(self, machine: SimMachine, thread: SimThread,
+              ready: float) -> float | None:
+        if thread is not self.holder:
+            # anything a thread does needs the interpreter lock
+            if self.holder is None:
+                at = max(ready, self.free_at)
+                self.stats.wait_cycles += at - ready
+                self._grant(machine, thread, at)
+            else:
+                thread.gil_wait_start = ready
+                self.queue.append(thread)
+            return None
+        # slice boundary: yield to waiters, or refresh the quantum
+        if self.quantum <= 0:
+            if self.queue:
+                self.stats.handoffs += 1
+                self._release(machine, thread, ready, requeue=True)
+                return None
+            self.quantum = self.config.switch_interval_cycles
+        return ready
+
+    def slice(self, cycles: float) -> float:
+        cycles = min(cycles, self.quantum)
+        self.quantum -= cycles
+        self.stats.slices += 1
+        return cycles
+
+    def spend(self, cycles: float) -> None:
+        self.quantum -= cycles
+
+    def leave(self, machine: SimMachine, thread: SimThread,
+              time: float) -> None:
+        self._release(machine, thread, time)
+
+    def settle(self, machine: SimMachine, thread: SimThread,
+               start: float, end: float) -> None:
+        if end > start:
+            # the lock serializes, so a core is always free by ``start``
+            core_free, core_id = heapq.heappop(machine._cores)
+            machine._record_segment(core_id, thread, start, end)
+            heapq.heappush(machine._cores, (max(end, core_free), core_id))
+        machine.makespan = max(machine.makespan, end)
+
+    def _grant(self, machine: SimMachine, thread: SimThread,
+               at: float) -> None:
+        """Give ``thread`` the lock at ``at``; it runs after paying
+        ``acquire_cost`` cycles."""
+        self.holder = thread
+        self.quantum = self.config.switch_interval_cycles
+        self.stats.acquisitions += 1
+        self.acquired_at = at + self.config.acquire_cost
+        machine._schedule(thread, self.acquired_at)
+
+    def _release(self, machine: SimMachine, thread: SimThread,
+                 time: float, *, requeue: bool = False) -> None:
+        """The holder gives the lock up at ``time``. With ``requeue``
+        (a switch-interval handoff) it rejoins the wait queue at the
+        tail; either way the longest-waiting thread is granted next."""
+        recorder = machine.recorder
+        held = time - self.acquired_at
+        self.stats.hold_cycles += held
+        if recorder.enabled and held > 0:
+            # the holder span: who had the interpreter, when
+            recorder.complete(thread.name, ts=self.acquired_at, dur=held,
+                              pid="threads", tid="GIL", cat="gil")
+        self.holder = None
+        self.free_at = time
+        if requeue:
+            thread.gil_wait_start = time
+            self.queue.append(thread)
+        if self.queue:
+            nxt = self.queue.popleft()
+            self.stats.wait_cycles += time - nxt.gil_wait_start
+            if recorder.enabled:
+                recorder.instant("gil-handoff", ts=time, pid="threads",
+                                 tid="GIL", cat="gil",
+                                 args={"from": thread.name,
+                                       "to": nxt.name})
+            self._grant(machine, nxt, time)
 
 
 def run_threads(bodies: Iterable[tuple[ThreadBody, tuple]], *,

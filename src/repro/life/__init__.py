@@ -3,8 +3,9 @@
 Grid + the lab input file format, a pattern library, the serial engine
 (numpy, with a pure-Python oracle), the pthreads-style parallel engine
 on the simulated multicore machine (barriers + mutex, with the
-missing-barrier race demo and lock-granularity knobs), a real
-multiprocessing variant, and the ParaVis-style terminal visualizer.
+missing-barrier race demo and lock-granularity knobs), two real-parallel
+host engines (a per-round map on any executor backend, and resident
+shared-memory workers), and the ParaVis-style terminal visualizer.
 """
 
 from repro.life.grid import (
@@ -39,8 +40,6 @@ from repro.life.parallel import (
     CELL_CYCLES,
     ParallelLife,
     run_parallel_backend,
-    run_parallel_mp,
-    run_parallel_pickled,
     run_parallel_shm,
     run_serial_cycles,
     simulated_scaling,
@@ -61,8 +60,8 @@ __all__ = [
     "pattern_displacement", "place", "make",
     "GameOfLife", "step", "step_reference", "step_rows", "step_band",
     "neighbor_counts", "band_neighbor_counts", "find_cycle",
-    "ParallelLife", "step_region", "run_parallel_mp", "run_parallel_shm",
-    "run_parallel_pickled", "run_parallel_backend", "simulated_scaling",
+    "ParallelLife", "step_region", "run_parallel_shm",
+    "run_parallel_backend", "simulated_scaling",
     "run_serial_cycles", "CELL_CYCLES",
     "render", "render_regions", "animate", "frame_sequence",
     "population_sparkline",

@@ -12,8 +12,11 @@ barriers per round (compute-done, swap-done). A mutex protects the
 shared population counter. Knobs exist to *remove* the barrier (the
 race-condition demo) and to vary lock granularity (bench E9's ablation).
 
-A multiprocessing variant provides real parallel execution of the same
-partitioned computation for wall-clock measurements (bench E3).
+Two host engines run the same partitioned computation with real
+parallelism for wall-clock measurements (bench E3):
+:func:`run_parallel_backend` maps the bands each round on any executor
+backend, and :func:`run_parallel_shm` keeps resident workers stepping a
+shared-memory grid between barriers.
 """
 
 from __future__ import annotations
@@ -190,15 +193,17 @@ def simulated_scaling(grid: np.ndarray, rounds: int,
 
 
 # ---------------------------------------------------------------------------
-# Real parallelism: multiprocessing backends
+# Real parallelism: two host engines
 # ---------------------------------------------------------------------------
 #
-# Two implementations of the same row-partitioned computation:
+# Two algorithms for the same row-partitioned computation:
 #
-# * ``pickled`` — the naive port: a pool maps over bands, re-pickling
-#   the full grid to every worker every generation. Kept as the E12
-#   baseline; its speedup is dominated by serialization.
-# * ``shared`` (default) — zero-copy: two grid-sized buffers live in
+# * ``run_parallel_backend`` — a per-round map of the bands on any
+#   executor backend. On the ``process`` backend this is the naive
+#   port: the full grid is re-pickled to every worker every generation,
+#   so its speedup is dominated by serialization (the E3 baseline). On
+#   ``thread`` the grid is shared by reference, and the GIL serializes.
+# * ``run_parallel_shm`` — zero-copy: two grid-sized buffers live in
 #   ``multiprocessing.shared_memory``; workers attach numpy views once
 #   and step their row strips in place for all generations, alternating
 #   which buffer is "current" by round parity and meeting at two
@@ -218,7 +223,7 @@ def _run_serial(grid: np.ndarray, rounds: int, mode: EdgeMode) -> np.ndarray:
     return current
 
 
-def _mp_band(args: tuple) -> tuple[int, np.ndarray]:
+def _band_task(args: tuple) -> tuple[int, np.ndarray]:
     grid, row_start, row_end, mode = args
     counts = neighbor_counts(grid, mode)[row_start:row_end]
     band = grid[row_start:row_end]
@@ -226,40 +231,6 @@ def _mp_band(args: tuple) -> tuple[int, np.ndarray]:
               | ((band == 1) & ((counts == 2) | (counts == 3)))
               ).astype(np.uint8)
     return row_start, result
-
-
-def run_parallel_pickled(grid: np.ndarray, rounds: int, *,
-                         workers: int, mode: EdgeMode = "torus"
-                         ) -> np.ndarray:
-    """Row-partitioned rounds on a pool, re-pickling the grid per round.
-
-    Semantically identical to the serial engine; wall-clock speedup is
-    bounded by physical cores *and* by serializing the whole grid to
-    every worker every generation — the overhead the shared-memory
-    variant removes.
-    """
-    if workers < 1:
-        raise ReproError("need at least one worker")
-    if workers == 1:
-        return _run_serial(grid, rounds, mode)
-    current = grid.astype(np.uint8).copy()
-    bands = partition_grid(grid.shape[0], grid.shape[1], workers, "row")
-    pool = mp.Pool(processes=workers)
-    try:
-        for _ in range(rounds):
-            tasks = [(current, b.row_start, b.row_end, mode)
-                     for b in bands if b.row_end > b.row_start]
-            out = np.zeros_like(current)
-            for row_start, result in pool.map(_mp_band, tasks):
-                out[row_start:row_start + result.shape[0]] = result
-            current = out
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    return current
 
 
 # Top-level so it works under the "spawn" start method too.
@@ -367,14 +338,17 @@ def run_parallel_backend(grid: np.ndarray, rounds: int, *,
                          strict: bool = False) -> np.ndarray:
     """Row-partitioned rounds on a named executor backend.
 
-    The same per-round band computation as :func:`run_parallel_pickled`,
-    but the mapping runs on any :mod:`repro.core.backends` executor —
-    ``serial`` / ``thread`` / ``process`` / ``subinterpreter`` — so E19
-    can put the identical workload on every backend the host supports.
-    The ``thread`` arm shares the grid by reference (no pickling), yet
-    on a GIL-ful build still shows speedup ≈ 1 for this CPU-bound
-    kernel: that contrast with ``process`` is the measured counterpart
-    of the simulated-GIL ablation. Unavailable backends fall back per
+    Each round maps the row bands on any :mod:`repro.core.backends`
+    executor — ``serial`` / ``thread`` / ``process`` /
+    ``subinterpreter`` — so E19 can put the identical workload on every
+    backend the host supports. On ``process`` the whole grid is pickled
+    to every worker every round: semantically identical to the serial
+    engine, but bounded by that serialization as well as by physical
+    cores — the overhead :func:`run_parallel_shm` removes (E3). The
+    ``thread`` arm shares the grid by reference (no pickling), yet on a
+    GIL-ful build still shows speedup ≈ 1 for this CPU-bound kernel:
+    that contrast with ``process`` is the measured counterpart of the
+    simulated-GIL ablation. Unavailable backends fall back per
     :func:`~repro.core.backends.get_backend` unless ``strict``.
     """
     from repro.core.backends import get_backend
@@ -393,30 +367,7 @@ def run_parallel_backend(grid: np.ndarray, rounds: int, *,
             tasks = [(current, b.row_start, b.row_end, mode)
                      for b in bands]
             out = np.zeros_like(current)
-            for row_start, result in chosen.map(_mp_band, tasks):
+            for row_start, result in chosen.map(_band_task, tasks):
                 out[row_start:row_start + result.shape[0]] = result
             current = out
     return current
-
-
-def run_parallel_mp(grid: np.ndarray, rounds: int, *,
-                    workers: int, mode: EdgeMode = "torus",
-                    method: str = "shared") -> np.ndarray:
-    """Row-partitioned rounds with real OS-level parallelism.
-
-    ``method="shared"`` (default) is the zero-copy shared-memory engine;
-    ``method="pickled"`` is the per-round pool baseline; ``method=
-    "thread"`` runs the same bands on a thread pool (GIL-bound on stock
-    CPython — the negative control). All are semantically identical to
-    the serial engine; wall-clock speedup is bounded by physical cores
-    and, for threads, by the interpreter lock.
-    """
-    if method not in ("shared", "pickled", "thread"):
-        raise ReproError(f"unknown method {method!r}; "
-                         "valid methods: shared, pickled, thread")
-    if method == "shared":
-        return run_parallel_shm(grid, rounds, workers=workers, mode=mode)
-    if method == "thread":
-        return run_parallel_backend(grid, rounds, workers=workers,
-                                    backend="thread", mode=mode)
-    return run_parallel_pickled(grid, rounds, workers=workers, mode=mode)

@@ -11,13 +11,16 @@ kernel process its own thread row.
 smoke job) cares about: every event carries ``ph``/``ts``/``pid``/
 ``tid``/``name``, ``X`` events carry a non-negative ``dur``, and every
 ``B`` has a matching ``E`` on the same track (proper nesting, names
-matched on close).
+matched on close). :func:`validate_file` does the same for a file on
+disk and can also require named lanes; it backs the command line::
+
+    python -m repro trace validate cluster.json --lane node0 --lane node1
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Any
+from typing import IO, Any, Iterable
 
 from repro.errors import ObsError
 from repro.obs.recorder import NullRecorder, TraceRecorder
@@ -128,6 +131,71 @@ def validate(doc: dict[str, Any]) -> int:
         raise ObsError(f"B event {stack[-1]!r} on track {track} "
                        "was never closed")
     return len(events)
+
+
+def validate_file(path: str, lanes: Iterable[str] = ()) -> int:
+    """Load and :func:`validate` a trace file, requiring every lane in
+    ``lanes`` to be named by a ``thread_name`` metadata event.
+
+    Returns the number of events validated; raises :class:`ObsError`
+    for an unreadable file, an invalid document or a missing lane.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ObsError(f"cannot read trace {path!r}: {exc}") from exc
+    count = validate(doc)
+    present = {ev["args"].get("name") for ev in doc["traceEvents"]
+               if ev["ph"] == "M" and ev["name"] == "thread_name"
+               and isinstance(ev.get("args"), dict)}
+    missing = [lane for lane in lanes if lane not in present]
+    if missing:
+        raise ObsError(f"trace {path!r} has no thread_name lane "
+                       f"{', '.join(map(repr, missing))}; lanes: "
+                       f"{', '.join(sorted(map(str, present)))}")
+    return count
+
+
+VALIDATE_USAGE = """\
+usage: python -m repro trace validate FILE [--lane NAME ...]
+
+Checks FILE against the trace-event schema subset (see
+repro.obs.chrome.validate) and, for each --lane, that a thread lane of
+that name exists. Prints the event count; exits 1 on an invalid trace."""
+
+
+def validate_main(argv: list[str]) -> int:
+    """``python -m repro trace validate``: 0 valid, 1 invalid, 2 usage."""
+    path = None
+    lanes: list[str] = []
+    args = list(argv)
+    while args:
+        arg = args.pop(0)
+        if arg in ("-h", "--help"):
+            print(VALIDATE_USAGE)
+            return 0
+        if arg == "--lane":
+            if not args:
+                print("error: --lane needs a lane name")
+                return 2
+            lanes.append(args.pop(0))
+        elif arg.startswith("-") or path is not None:
+            print(f"error: unexpected argument {arg!r}\n{VALIDATE_USAGE}")
+            return 2
+        else:
+            path = arg
+    if path is None:
+        print(VALIDATE_USAGE)
+        return 2
+    try:
+        count = validate_file(path, lanes)
+    except ObsError as exc:
+        print(f"error: {exc}")
+        return 1
+    suffix = f", lanes {', '.join(lanes)} present" if lanes else ""
+    print(f"{path}: {count} events valid{suffix}")
+    return 0
 
 
 def write_chrome(recorder: TraceRecorder | NullRecorder,

@@ -3,17 +3,20 @@
 Each demo drives one simulator with a shared :class:`TraceRecorder`
 attached; ``all`` runs every demo into a single recorder so the tracks
 sit side by side in the viewer. The profile report always prints;
-``--chrome OUT.json`` additionally writes a validated Chrome trace::
+``--chrome OUT.json`` additionally writes a validated Chrome trace, and
+``validate`` checks one already on disk (see
+:func:`repro.obs.chrome.validate_main`)::
 
     python -m repro trace isa
     python -m repro trace all --chrome trace.json --top 5
+    python -m repro trace validate trace.json --lane "core 0"
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.obs.chrome import write_chrome
+from repro.obs.chrome import validate_main, write_chrome
 from repro.obs.recorder import TraceRecorder
 from repro.obs.report import profile_report
 
@@ -21,6 +24,7 @@ USAGE = """\
 usage: python -m repro trace DEMO [--chrome OUT.json] [--top N]
                                   [--sample N] [--counters-only]
                                   [--capacity K]
+       python -m repro trace validate FILE [--lane NAME ...]
 
 demos: {demos}
 
@@ -151,6 +155,8 @@ DEMOS: dict[str, Callable[[TraceRecorder], str]] = {
 
 
 def run(argv: list[str]) -> int:
+    if argv and argv[0] == "validate":
+        return validate_main(argv[1:])
     usage = USAGE.format(demos=", ".join([*DEMOS, "all"]))
     demo = None
     chrome_path = None

@@ -18,11 +18,11 @@ from repro.core.backends import (
     SubinterpreterBackend,
     ThreadBackend,
     _interpreters_module,
+    burn,
     get_backend,
     gil_enabled,
     probe_backends,
 )
-from repro.core.mp_backend import burn, last_breakdown, parallel_map
 from repro.core.partition import CHUNK_MODES
 from repro.errors import ReproError
 
@@ -74,7 +74,7 @@ class TestProtocol:
 
     def test_breakdown_invariant(self):
         """spawn + dispatch + compute/k + sync ≈ wall — the same model
-        the WorkerPool regression pins, on the thread backend."""
+        the process-backend regression pins, on the thread backend."""
         with ThreadBackend(2) as backend:
             backend.map(burn, [200_000] * 4)
             bd = backend.last_breakdown
@@ -177,15 +177,32 @@ class TestGetBackend:
 
 
 class TestParallelMapBackendParam:
+    """Selecting a backend by name and mapping on it (these once went
+    through a ``parallel_map(..., backend=name)`` wrapper)."""
+
     def test_backend_selection(self):
         for name in ("serial", "thread"):
-            out = parallel_map(burn, ITEMS, workers=2, backend=name)
-            assert out == EXPECTED
-            assert last_breakdown().wall > 0.0
+            with get_backend(name, 2) as backend:
+                out = backend.map(burn, ITEMS)
+                assert out == EXPECTED
+                assert backend.last_breakdown.wall > 0.0
 
     def test_backend_none_is_process_path(self):
-        assert parallel_map(burn, [3, 4], workers=1) == [burn(3), burn(4)]
+        with get_backend("process", 1) as backend:
+            assert backend.map(burn, [3, 4]) == [burn(3), burn(4)]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError):
-            parallel_map(burn, ITEMS, workers=2, backend="gpu")
+            get_backend("gpu", 2)
+
+
+@pytest.mark.parametrize("name", BACKEND_NAMES)
+def test_same_bad_argument_same_error_on_every_backend(name):
+    """A bad worker count is a ReproError and a keyword the backend does
+    not take is a TypeError — on every backend, including the
+    subinterpreter one whether it is available or falls back."""
+    for workers in (0, -2):
+        with pytest.raises(ReproError, match="workers must be positive"):
+            get_backend(name, workers)
+    with pytest.raises(TypeError):
+        get_backend(name, 2, start_mehtod="spawn")

@@ -1,5 +1,8 @@
 """Unit tests for the simulated multicore machine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import (
@@ -8,6 +11,7 @@ from repro.core import (
     CondBroadcast,
     CondSignal,
     CondWait,
+    GilConfig,
     Join,
     Lock,
     Mutex,
@@ -26,6 +30,35 @@ FREE = SyncCosts(lock=0, unlock=0, barrier=0, cond=0, sem=0, spawn=0)
 
 def worker(cycles):
     yield Work(cycles)
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("gil", [None, GilConfig()])
+    def test_finished_machine_is_freed_without_the_cycle_collector(
+            self, gil):
+        """A machine that ran holds no reference cycle, so it is freed
+        (timeline and all) the moment its last user drops it — a GIL
+        run's timeline of switch-interval slices is large, and waiting
+        for a full collection let repeated runs pile up."""
+        mutex = Mutex("m")
+
+        def body():
+            yield Work(250)
+            yield Lock(mutex)
+            yield Work(10)
+            yield Unlock(mutex)
+
+        gc.disable()
+        try:
+            m = SimMachine(2, costs=FREE, gil=gil)
+            for _ in range(3):
+                m.spawn(body)
+            m.run()
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestWorkScheduling:

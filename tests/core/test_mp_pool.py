@@ -1,4 +1,4 @@
-"""Tests for the persistent WorkerPool and pluggable chunk scheduling.
+"""Tests for the process backend's persistent pool and chunk scheduling.
 
 Correctness (identical results, preserved order, exact coverage) is
 asserted with real processes at 2 workers — valid on any host, including
@@ -9,14 +9,7 @@ EXPERIMENTS.md). Makespan claims use the deterministic cost model.
 import pytest
 
 from repro.core import OverheadBreakdown
-from repro.core.mp_backend import (
-    WorkerPool,
-    burn,
-    get_pool,
-    last_breakdown,
-    parallel_map,
-    shutdown_pool,
-)
+from repro.core.backends import ProcessBackend, burn, get_backend
 from repro.core.partition import (
     CHUNK_MODES,
     chunk_indices,
@@ -25,13 +18,6 @@ from repro.core.partition import (
     schedule_makespan,
 )
 from repro.errors import ReproError
-
-
-@pytest.fixture(autouse=True)
-def _clean_module_pool():
-    """Every test leaves no warm module pool behind."""
-    yield
-    shutdown_pool()
 
 
 class TestChunkHelpers:
@@ -99,45 +85,50 @@ class TestScheduleMakespan:
         assert schedule_makespan([], 4, "block") == 0.0
 
 
+def _process_map(items, **kwargs):
+    """One map on a fresh two-worker process backend."""
+    with ProcessBackend(2) as backend:
+        return backend.map(burn, items, **kwargs)
+
+
 class TestParallelMapScheduling:
     ITEMS = list(range(23))
 
     @pytest.mark.parametrize("mode", CHUNK_MODES)
     def test_all_modes_identical_and_ordered(self, mode):
         expected = [burn(x) for x in self.ITEMS]
-        assert parallel_map(burn, self.ITEMS, workers=2,
-                            chunk_mode=mode) == expected
+        assert _process_map(self.ITEMS, chunk_mode=mode) == expected
 
     def test_cyclic_mode_accepted(self):
         """Regression: cyclic was rejected despite cyclic_partition
         existing."""
-        assert parallel_map(burn, [3, 4, 5], workers=2,
-                            chunk_mode="cyclic") == [burn(3), burn(4),
-                                                     burn(5)]
+        assert _process_map([3, 4, 5], chunk_mode="cyclic") == [
+            burn(3), burn(4), burn(5)]
 
     def test_bad_mode_error_lists_modes(self):
         with pytest.raises(ReproError) as err:
-            parallel_map(burn, [1, 2], workers=2, chunk_mode="hash")
+            _process_map([1, 2], chunk_mode="hash")
         for mode in CHUNK_MODES:
             assert mode in str(err.value)
 
     def test_explicit_chunk_size(self):
         expected = [burn(x) for x in self.ITEMS]
-        assert parallel_map(burn, self.ITEMS, workers=2,
-                            chunk_mode="dynamic",
+        assert _process_map(self.ITEMS, chunk_mode="dynamic",
                             chunk_size=2) == expected
 
 
 class TestWorkerPool:
+    """The process backend's pool (once its own ``WorkerPool`` class)."""
+
     def test_lazy_until_first_map(self):
-        with WorkerPool(2) as pool:
+        with ProcessBackend(2) as pool:
             assert not pool.is_alive
             pool.map(burn, [10, 20, 30])
             assert pool.is_alive
         assert not pool.is_alive
 
     def test_warm_reuse_skips_spawn(self):
-        with WorkerPool(2) as pool:
+        with ProcessBackend(2) as pool:
             pool.map(burn, [10, 20, 30])
             assert pool.spawn_count == 1
             assert pool.last_breakdown.spawn > 0.0
@@ -146,7 +137,7 @@ class TestWorkerPool:
             assert pool.last_breakdown.spawn == 0.0
 
     def test_restart_after_shutdown(self):
-        pool = WorkerPool(2)
+        pool = ProcessBackend(2)
         try:
             pool.map(burn, [1, 2, 3])
             pool.shutdown()
@@ -156,33 +147,33 @@ class TestWorkerPool:
             pool.shutdown()
 
     def test_shutdown_idempotent(self):
-        pool = WorkerPool(2)
+        pool = ProcessBackend(2)
         pool.map(burn, [1, 2])
         pool.shutdown()
         pool.shutdown()
         assert not pool.is_alive
 
     def test_pool_survives_worker_exception(self):
-        with WorkerPool(2) as pool:
+        with ProcessBackend(2) as pool:
             with pytest.raises(ZeroDivisionError):
                 pool.map(_reciprocal, [1, 0, 2])
             assert pool.map(_reciprocal, [1, 2, 4]) == [1.0, 0.5, 0.25]
 
     def test_empty_and_single_item_touch_no_workers(self):
-        with WorkerPool(2) as pool:
+        with ProcessBackend(2) as pool:
             assert pool.map(burn, []) == []
             assert pool.map(burn, [7]) == [burn(7)]
             assert not pool.is_alive
 
     def test_validation(self):
         with pytest.raises(ReproError):
-            WorkerPool(0)
-        with WorkerPool(2) as pool:
+            ProcessBackend(0)
+        with ProcessBackend(2) as pool:
             with pytest.raises(ReproError):
                 pool.map(burn, [1, 2], chunk_mode="hash")
 
     def test_breakdown_accounts_for_the_call(self):
-        with WorkerPool(2) as pool:
+        with ProcessBackend(2) as pool:
             pool.map(burn, [2000] * 8)
             bd = pool.last_breakdown
             assert bd.wall > 0.0
@@ -202,7 +193,7 @@ class TestWorkerPool:
         sync by ``compute * (1/k - 1/workers)``. The breakdown
         invariant is ``spawn + dispatch + compute/k + sync ≈ wall``
         where k is the number of chunks actually produced."""
-        with WorkerPool(4) as pool:
+        with ProcessBackend(4) as pool:
             pool.map(burn, [700_000, 700_000])   # block mode → 2 chunks
             bd = pool.last_breakdown
             k = 2
@@ -218,7 +209,7 @@ class TestWorkerPool:
         announce itself with an ``inline`` span."""
         from repro.obs.recorder import TraceRecorder
         rec = TraceRecorder()
-        with WorkerPool(2, recorder=rec) as pool:
+        with ProcessBackend(2, recorder=rec) as pool:
             pool.map(burn, [2_000])
             assert not pool.is_alive
             bd = pool.last_breakdown
@@ -232,40 +223,26 @@ class TestWorkerPool:
 
 
 class TestModulePool:
-    def test_same_workers_same_pool(self):
-        assert get_pool(2) is get_pool(2)
-
-    def test_different_workers_new_pool(self):
-        first = get_pool(2)
-        second = get_pool(3)
-        assert second is not first
-        assert second.workers == 3
-        assert not first.is_alive   # old pool was shut down
+    """Warm reuse comes from holding one backend across calls."""
 
     def test_parallel_map_reuses_module_pool(self):
-        parallel_map(burn, [10, 20, 30], workers=2)
-        pool = get_pool(2)
-        assert pool.spawn_count == 1
-        parallel_map(burn, [40, 50, 60], workers=2)
-        assert pool.spawn_count == 1
-        assert last_breakdown().spawn == 0.0
-
-    def test_reuse_pool_false_leaves_module_pool_cold(self):
-        shutdown_pool()
-        parallel_map(burn, [1, 2, 3], workers=2, reuse_pool=False)
-        # get_pool would create one now; the per-call path must not have
-        from repro.core import mp_backend
-        assert mp_backend._default_pool is None
+        with get_backend("process", 2) as pool:
+            pool.map(burn, [10, 20, 30])
+            assert pool.spawn_count == 1
+            pool.map(burn, [40, 50, 60])
+            assert pool.spawn_count == 1
+            assert pool.last_breakdown.spawn == 0.0
 
     def test_explicit_pool_argument(self):
-        with WorkerPool(2) as pool:
-            out = parallel_map(burn, [5, 6, 7], workers=2, pool=pool)
+        with get_backend("process", 2) as pool:
+            out = pool.map(burn, [5, 6, 7])
             assert out == [burn(5), burn(6), burn(7)]
             assert pool.spawn_count == 1
 
     def test_shutdown_pool_idempotent(self):
-        shutdown_pool()
-        shutdown_pool()
+        pool = get_backend("process", 2)
+        pool.shutdown()
+        pool.shutdown()
 
 
 # picklable helper for the exception test

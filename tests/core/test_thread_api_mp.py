@@ -1,4 +1,4 @@
-"""Unit tests for the Pthreads facade and the multiprocessing backend."""
+"""Unit tests for the Pthreads facade and the process executor backend."""
 
 import pytest
 
@@ -13,12 +13,7 @@ from repro.core import (
     measure_scaling,
     scaling_table,
 )
-from repro.core.mp_backend import (
-    available_cores,
-    burn,
-    measure_parallel_map,
-    parallel_map,
-)
+from repro.core.backends import available_cores, burn, get_backend
 from repro.errors import ReproError
 
 FREE = SyncCosts(lock=0, unlock=0, barrier=0, cond=0, sem=0, spawn=0)
@@ -100,36 +95,36 @@ class TestMeasureScaling:
             measure_scaling(lambda k: [], [])
 
 
+def process_map(items, workers=2, **kwargs):
+    with get_backend("process", workers) as backend:
+        return backend.map(burn, items, **kwargs)
+
+
 class TestMultiprocessingBackend:
     def test_results_match_serial(self):
         items = list(range(40))
-        assert parallel_map(burn, items, workers=2) == [burn(x)
-                                                        for x in items]
+        assert process_map(items) == [burn(x) for x in items]
 
     def test_order_preserved(self):
         items = [5, 1, 9, 3]
-        assert parallel_map(lambda_free := burn, items, workers=2) == [
-            burn(x) for x in items]
+        assert process_map(items) == [burn(x) for x in items]
 
     def test_single_worker_no_pool(self):
-        assert parallel_map(burn, [3, 4], workers=1) == [burn(3), burn(4)]
+        with get_backend("serial", 1) as backend:
+            assert backend.map(burn, [3, 4]) == [burn(3), burn(4)]
+            assert not backend.is_alive
 
     def test_single_item(self):
-        assert parallel_map(burn, [7], workers=8) == [burn(7)]
+        assert process_map([7], workers=8) == [burn(7)]
 
     def test_empty(self):
-        assert parallel_map(burn, [], workers=2) == []
+        assert process_map([]) == []
 
     def test_validation(self):
         with pytest.raises(ReproError):
-            parallel_map(burn, [1], workers=0)
+            process_map([1], workers=0)
         with pytest.raises(ReproError):
-            parallel_map(burn, [1], chunk_mode="hash")
+            process_map([1], chunk_mode="hash")
 
     def test_available_cores_positive(self):
         assert available_cores() >= 1
-
-    def test_measure_runs(self):
-        runs = measure_parallel_map(burn, [200] * 8, [1, 2])
-        assert [r.workers for r in runs] == [1, 2]
-        assert all(r.seconds > 0 for r in runs)

@@ -19,8 +19,7 @@ from repro.life import (
     neighbor_counts,
     pattern_names,
     random_grid,
-    run_parallel_mp,
-    run_parallel_pickled,
+    run_parallel_backend,
     run_parallel_shm,
     step,
     step_band,
@@ -115,25 +114,25 @@ class TestSharedMemoryOracle:
 
 
 class TestDispatcher:
+    """The shared-memory engine against the per-round pickling one
+    (``run_parallel_backend`` on processes)."""
+
     def test_methods_agree(self):
         grid = random_grid(16, 16, seed=5)
         expected = GameOfLife(grid.copy())
         expected.run(4)
-        for method in ("shared", "pickled"):
-            assert grids_equal(
-                run_parallel_mp(grid, 4, workers=2, method=method),
-                expected.grid)
-
-    def test_default_is_shared(self):
-        grid = random_grid(8, 8, seed=5)
-        assert grids_equal(run_parallel_mp(grid, 1, workers=2),
-                           run_parallel_shm(grid, 1, workers=2))
+        for result in (run_parallel_shm(grid, 4, workers=2),
+                       run_parallel_backend(grid, 4, workers=2,
+                                            backend="process")):
+            assert grids_equal(result, expected.grid)
 
     def test_unknown_method_lists_valid(self):
         with pytest.raises(ReproError) as err:
-            run_parallel_mp(make("block"), 1, workers=2, method="mmap")
-        assert "shared" in str(err.value) and "pickled" in str(err.value)
+            run_parallel_backend(make("block"), 1, workers=2,
+                                 backend="mmap")
+        assert "thread" in str(err.value) and "process" in str(err.value)
 
     def test_pickled_validation(self):
         with pytest.raises(ReproError):
-            run_parallel_pickled(make("block"), 1, workers=0)
+            run_parallel_backend(make("block"), 1, workers=0,
+                                 backend="process")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ObsError
 from repro.obs import TraceRecorder, to_chrome, validate, write_chrome
-from repro.obs.chrome import REQUIRED_KEYS
+from repro.obs.chrome import REQUIRED_KEYS, validate_file
 
 
 def small_trace():
@@ -132,3 +132,39 @@ class TestWriteChrome:
         buf = io.StringIO()
         count = write_chrome(small_trace(), buf)
         assert validate(json.loads(buf.getvalue())) == count
+
+
+class TestValidateFile:
+    """The file-level validator behind ``python -m repro trace validate``."""
+
+    def test_valid_file_with_lanes(self, tmp_path, capsys):
+        from repro.__main__ import main
+        out = tmp_path / "trace.json"
+        count = write_chrome(small_trace(), str(out))
+        assert validate_file(str(out), ["cpu", "L1"]) == count
+        assert main(["trace", "validate", str(out),
+                     "--lane", "cpu", "--lane", "L1"]) == 0
+        assert f"{count} events valid" in capsys.readouterr().out
+
+    def test_missing_lane_fails(self, tmp_path, capsys):
+        from repro.__main__ import main
+        out = tmp_path / "trace.json"
+        write_chrome(small_trace(), str(out))
+        with pytest.raises(ObsError, match="node1"):
+            validate_file(str(out), ["cpu", "node1"])
+        assert main(["trace", "validate", str(out), "--lane", "node1"]) == 1
+        assert "no thread_name lane 'node1'" in capsys.readouterr().out
+
+    def test_invalid_document_fails(self, tmp_path, capsys):
+        from repro.__main__ import main
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"traceEvents": [
+            {"ph": "X", "ts": 0, "pid": 1, "tid": 1, "name": "x"}]}))
+        with pytest.raises(ObsError, match="needs a numeric dur"):
+            validate_file(str(bad))
+        assert main(["trace", "validate", str(bad)]) == 1
+        assert "needs a numeric dur" in capsys.readouterr().out
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{not json")
+        with pytest.raises(ObsError, match="cannot read trace"):
+            validate_file(str(garbled))

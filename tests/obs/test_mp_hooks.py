@@ -1,16 +1,16 @@
-"""WorkerPool recorder hooks: dispatch/wait spans, unchanged results."""
+"""Process-backend recorder hooks: dispatch/wait spans, unchanged results."""
 
-from repro.core.mp_backend import WorkerPool, burn
+from repro.core.backends import ProcessBackend, burn
 from repro.obs import TraceRecorder
 
 
 class TestWorkerPoolTracing:
     def test_map_records_phase_spans_and_results_match(self):
         items = [2000] * 8
-        with WorkerPool(2) as plain:
+        with ProcessBackend(2) as plain:
             expected = plain.map(burn, items)
         rec = TraceRecorder()
-        with WorkerPool(2, recorder=rec) as traced:
+        with ProcessBackend(2, recorder=rec) as traced:
             assert traced.map(burn, items) == expected
         spans = {e.name for e in rec.events() if e.ph == "X"}
         # a cold first call pays spawn; dispatch and wait always appear
@@ -21,7 +21,7 @@ class TestWorkerPoolTracing:
 
     def test_warm_call_skips_spawn_span(self):
         rec = TraceRecorder()
-        with WorkerPool(2, recorder=rec) as pool:
+        with ProcessBackend(2, recorder=rec) as pool:
             pool.map(burn, [100] * 4)
             rec.clear()
             pool.map(burn, [100] * 4)
@@ -30,6 +30,6 @@ class TestWorkerPoolTracing:
         assert spans == ["dispatch", "wait"]
 
     def test_no_recorder_records_nothing(self):
-        with WorkerPool(2) as pool:
+        with ProcessBackend(2) as pool:
             pool.map(burn, [100] * 4)
             assert pool.recorder.events() == []
